@@ -1,17 +1,17 @@
 """Crash-space exploration hygiene.
 
-Crash enumeration lives in ``repro.explore`` (systematic, digest-pruned,
-cached) and ``repro.oracle.sweep`` / ``repro.faults.campaign`` (the
-sanctioned samplers).  A hand-rolled loop that arms ``FaultPlan`` after
-``FaultPlan`` or walks the injection-point table re-grows the pre-
-explorer failure mode: ad-hoc sweeps with no pruning, no caching, no
-report, and coverage claims nobody can audit (docs/crash_exploration.md):
+Crash enumeration lives in ``repro.explore``: its probe, planner
+policies (exhaustive, frontier, first-mid-last, sample) and case runner
+serve the explorer, the oracle suite and the fault campaign alike.  A
+hand-rolled loop that arms ``FaultPlan`` after ``FaultPlan`` or walks
+the injection-point table re-grows the pre-explorer failure mode:
+ad-hoc sweeps with no pruning, no caching, no report, and coverage
+claims nobody can audit (docs/crash_exploration.md):
 
 * SL801 ``crash-loop-outside-explore`` (ERROR) — a ``for``/``while``
   loop that constructs ``FaultPlan`` in its body, or iterates over
-  ``INJECTION_POINTS`` / a plan's ``fire_log``, outside the sanctioned
-  crash-tooling packages (``repro.explore``, ``repro.oracle``,
-  ``repro.faults``).
+  ``INJECTION_POINTS`` / a probe's ``fires``, outside
+  ``repro.explore``.
 
 A deliberate one-off sweep takes the reasoned-suppression path:
 ``# simlint: disable-next=SL801 -- <why the explorer cannot host it>``.
@@ -29,9 +29,8 @@ from repro.analysis.lint.registry import (
     register,
 )
 
-#: packages allowed to enumerate crashes: the explorer itself, the
-#: oracle sweep, and the fault campaign/registry they are built on
-_SANCTIONED_DIRS = frozenset({"explore", "oracle", "faults"})
+#: the one package allowed to enumerate crashes
+_SANCTIONED_DIRS = frozenset({"explore"})
 
 
 def _is_sanctioned(unit: FileUnit) -> bool:
@@ -62,11 +61,10 @@ class CrashLoopOutsideExploreRule(Rule):
     name = "crash-loop-outside-explore"
     severity = Severity.ERROR
     description = ("ad-hoc loop over injection points / fire indices "
-                   "outside repro.explore and the sanctioned crash "
-                   "tooling")
-    invariant = ("every crash-space sweep flows through repro.explore "
-                 "(or the oracle/campaign samplers), so enumeration is "
-                 "pruned, cached, reported, and auditable")
+                   "outside repro.explore")
+    invariant = ("every crash-space sweep flows through repro.explore's "
+                 "planner, so enumeration is pruned, cached, reported, "
+                 "and auditable")
     paper = "crash-space explorer (docs/crash_exploration.md)"
 
     def check(self, unit: FileUnit,
@@ -79,12 +77,12 @@ class CrashLoopOutsideExploreRule(Rule):
                 continue
             if isinstance(node, ast.For) and (
                     _mentions(node.iter, "INJECTION_POINTS")
-                    or _mentions(node.iter, "fire_log")):
+                    or _mentions(node.iter, "fires")):
                 if id(node) not in flagged:
                     flagged.add(id(node))
                     yield self.diag(unit, node, (
-                        "loop over the injection-point table / fire "
-                        "log: crash-space sweeps belong in "
+                        "loop over the injection-point table / probe "
+                        "fires: crash-space sweeps belong in "
                         "repro.explore (run_explore), which prunes, "
                         "caches, and reports what this loop would "
                         "re-enumerate ad hoc"))
@@ -95,6 +93,5 @@ class CrashLoopOutsideExploreRule(Rule):
                 yield self.diag(unit, call, (
                     "FaultPlan constructed inside a loop: arming one "
                     "plan per iteration is a hand-rolled crash "
-                    "enumeration — use repro.explore (or the "
-                    "oracle/campaign samplers) so the sweep is pruned "
-                    "and cached"))
+                    "enumeration — use a repro.explore planner policy "
+                    "so the sweep is pruned and cached"))

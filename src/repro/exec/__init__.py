@@ -2,9 +2,10 @@
 
 A *sweep* is a deterministic list of :class:`~repro.exec.spec.CellSpec`
 values, each describing one independent simulation cell (a figure-matrix
-run, a fault-campaign case, or a fire-span probe) completely: variant,
-workload, trace length, seed, full system configuration, and — for fault
-cells — the crash plan.  :func:`~repro.exec.pool.run_sweep` fans the
+run, an oracle tamper/mutant case, or a crash-case unit: probe, clean
+run or crash) completely: variant, workload, trace length, seed, full
+system configuration, and — for oracle and explore cells — the case
+plan.  :func:`~repro.exec.pool.run_sweep` fans the
 cells out over a ``multiprocessing`` worker pool and returns results in
 spec order, so parallel and serial executions are bitwise identical.
 
@@ -23,7 +24,6 @@ from repro.exec.cache import (
     CacheBackend,
     LocalDirBackend,
     MemoryBackend,
-    RemoteBackend,
     ResultCache,
 )
 from repro.exec.configio import config_from_dict, config_to_dict
@@ -44,7 +44,6 @@ __all__ = [
     "CellSpec",
     "LocalDirBackend",
     "MemoryBackend",
-    "RemoteBackend",
     "ResultCache",
     "SweepReport",
     "WorkerCrew",

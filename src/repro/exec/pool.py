@@ -29,8 +29,8 @@ from repro.exec.spec import CellSpec, cell_key
 def execute_cell(spec: CellSpec) -> dict[str, Any]:
     """Run one cell from scratch; returns the JSON-serializable payload.
 
-    The campaign modules import the simulator stack, so they are
-    imported lazily: ``repro.faults.campaign`` itself calls back into
+    The case runners import the simulator stack, so they are imported
+    lazily: the oracle suite and the fault campaign call back into
     :func:`run_sweep` and an import-time cycle would otherwise form.
     """
     cfg = config_from_dict(spec.config) if spec.config is not None else None
@@ -42,22 +42,6 @@ def execute_cell(spec: CellSpec) -> dict[str, Any]:
             accesses=spec.accesses,
             footprint_blocks=spec.footprint_blocks,
             seed=spec.seed, check=spec.check), cfg)
-        return {"result": result.to_json()}
-    if spec.kind == "probe":
-        from repro.faults.campaign import probe_fire_total
-
-        trace = _trace_for(spec)
-        if cfg is None:
-            raise ConfigError("probe cells need an explicit config")
-        return {"fire_span": probe_fire_total(spec.variant, cfg, trace)}
-    if spec.kind == "fault":
-        from repro.faults.campaign import CampaignCase, run_case
-
-        if cfg is None:
-            raise ConfigError("fault cells need an explicit config")
-        case = CampaignCase(scheme=spec.variant, workload=spec.workload,
-                            **(spec.fault or {}))
-        result = run_case(case, cfg, _trace_for(spec))
         return {"result": result.to_json()}
     if spec.kind == "oracle":
         from repro.oracle.sweep import run_oracle_cell
@@ -83,12 +67,6 @@ def decode_payload(spec: CellSpec, payload: dict[str, Any]) -> Any:
         from repro.sim.stats import RunResult
 
         return RunResult.from_json(payload["result"])
-    if spec.kind == "probe":
-        return int(payload["fire_span"])
-    if spec.kind == "fault":
-        from repro.faults.campaign import CaseResult
-
-        return CaseResult.from_json(payload["result"])
     if spec.kind == "oracle":
         from repro.oracle.harness import OracleCaseResult
 

@@ -40,10 +40,10 @@ from repro.common.errors import ConfigError
 CACHE_SCHEMA = 2
 
 #: the cell kinds the executor knows how to run
-KINDS = ("sim", "probe", "fault", "oracle", "explore")
+KINDS = ("sim", "oracle", "explore")
 
-#: kinds whose cells are parameterized by a fault/case plan dict
-_PLAN_KINDS = ("fault", "oracle", "explore")
+#: kinds whose cells are parameterized by a case plan dict
+_PLAN_KINDS = ("oracle", "explore")
 
 
 @dataclass(frozen=True)
@@ -53,19 +53,19 @@ class CellSpec:
     ``kind`` selects the worker routine:
 
     * ``"sim"``    — one (variant, workload) figure cell -> ``RunResult``
-    * ``"probe"``  — count-only fault-fire span -> ``int``
-    * ``"fault"``  — one campaign crash case -> ``CaseResult``
-    * ``"oracle"`` — one differential-oracle case -> ``OracleCaseResult``
-    * ``"explore"`` — one crash-space exploration unit (digest probe or
-      candidate crash case) -> ``ExploreProbe`` / ``ExploreCaseResult``
+    * ``"oracle"`` — one differential-oracle tamper or mutant case ->
+      ``OracleCaseResult``
+    * ``"explore"`` — one crash-case unit (digest probe, clean run or
+      crash case) of the explorer, the oracle suite or the fault
+      campaign -> ``ExploreProbe`` / ``ExploreCaseResult``
 
     ``variant`` is a paper variant name for ``"sim"`` cells and a bare
     scheme name for every other kind.
     ``config`` is the full system configuration as produced by
     :func:`repro.exec.configio.config_to_dict` (``None`` means the
-    default Table I configuration).  ``fault`` holds the crash-plan
-    fields of a campaign case, or the case plan (mode, crash point,
-    attack/mutant name) of an oracle cell.
+    default Table I configuration).  ``fault`` holds the case plan
+    (mode, crash fires, attack/mutant name) of an oracle or explore
+    cell.
     """
 
     kind: str

@@ -27,7 +27,8 @@ Server -> client frames for one ``submit`` stream:
 ``cell_error``  cell ``index`` raised deterministically; ``error``
                 carries the exception text
 ``done``        terminator: totals for the batch
-``error``       request-level failure (bad frame, draining server)
+``error``       request-level failure (bad or oversize frame,
+                draining server)
 =============== =====================================================
 
 Frames deliberately carry *payloads*, never decoded values: decoding
@@ -50,6 +51,12 @@ PROTOCOL_VERSION = 1
 #: (defined here, not in service.py, so the CLI can read it without
 #: importing the asyncio machinery)
 DEFAULT_SOCKET = ".repro-serve.sock"
+
+#: largest request frame (bytes, newline included) the service reads;
+#: a submit costs about 1.1 KB per cell, so this fits batches of tens
+#: of thousands of cells.  A longer frame is answered with an ``error``
+#: frame.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: client -> server operations
 REQUEST_OPS = ("submit", "stats", "ping", "shutdown")

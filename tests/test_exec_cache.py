@@ -59,8 +59,8 @@ class TestCellKey:
             != cell_key(spec(), code_version="1.0.0/2")
 
     def test_fault_plan_is_covered(self):
-        a = spec(kind="fault", fault={"crash_after": 3})
-        b = spec(kind="fault", fault={"crash_after": 4})
+        a = spec(kind="explore", fault={"mode": "case", "crash_after": 3})
+        b = spec(kind="explore", fault={"mode": "case", "crash_after": 4})
         assert cell_key(a) != cell_key(b)
 
 

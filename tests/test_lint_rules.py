@@ -236,7 +236,7 @@ class TestExploreRule:
             ("SL801", 6),   # for over INJECTION_POINTS
             ("SL801", 12),  # FaultPlan inside a for body
             ("SL801", 20),  # FaultPlan inside a while body
-            ("SL801", 26),  # for over plan.fire_log
+            ("SL801", 26),  # for over probe.fires
         ]
         assert result.exit_code() == 1
 
@@ -245,11 +245,19 @@ class TestExploreRule:
 
     def test_sanctioned_crash_tooling_dirs_may_enumerate(self, tmp_path):
         src = (FIXTURES / "explore_bad.py").read_text()
-        for pkg in ("explore", "oracle", "faults"):
+        copy = tmp_path / "explore" / "sweep.py"
+        copy.parent.mkdir()
+        copy.write_text(src)
+        assert run_lint([str(copy)]).diagnostics == []
+
+    def test_oracle_and_faults_are_no_longer_sanctioned(self, tmp_path):
+        # both run their crashes on repro.explore's planner now
+        src = (FIXTURES / "explore_bad.py").read_text()
+        for pkg in ("oracle", "faults"):
             copy = tmp_path / pkg / "sweep.py"
             copy.parent.mkdir()
             copy.write_text(src)
-            assert run_lint([str(copy)]).diagnostics == []
+            assert len(run_lint([str(copy)]).diagnostics) == 4
 
     def test_reasoned_suppression_path(self, tmp_path):
         copy = tmp_path / "one_off.py"

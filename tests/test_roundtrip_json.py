@@ -14,7 +14,7 @@ import pytest
 from repro.baselines.report import RecoveryReport
 from repro.common.rng import make_rng
 from repro.exec import CellSpec
-from repro.faults.campaign import CampaignCase, CaseResult
+from repro.explore.runner import ExploreCaseResult
 from repro.sim.stats import RunResult
 
 N_CASES = 50
@@ -92,28 +92,30 @@ def test_recovery_report_rejects_undeclared_detail_keys():
 
 @pytest.mark.parametrize("rng", rngs())
 def test_case_result_round_trips(rng):
-    case = CampaignCase(
-        scheme=choice(rng, ["steins", "osiris", "anubis"]),
-        workload=choice(rng, ["pers_hash", "pers_swap"]),
-        crash_after=randrange(rng, 1 << 20),
-        recovery_crash_after=choice(rng, [None, randrange(rng, 1 << 10)]),
-        residual_words=choice(rng, [None, randrange(rng, 64)]),
-    )
-    result = CaseResult(
-        case=case,
-        outcome=choice(rng, ["recovered", "detected", "silent_corruption"]),
-        crash_point=choice(rng, ["", "ctr_write", "tree_update"]),
+    divergences = [
+        {"kind": choice(rng, ["read", "readback", "root-regress"]),
+         "where": f"block {randrange(rng, 1 << 16)}",
+         "expected": str(randrange(rng, 1 << 62)),
+         "got": str(randrange(rng, 1 << 62))}
+        for _ in range(randrange(rng, 3))]
+    result = ExploreCaseResult(
+        outcome=choice(rng, ["match", "detected", "diverged", "no_crash"]),
+        crash_point=choice(rng, ["", "controller.write", "shutdown"]),
         crash_index=randrange(rng, -1, 1 << 20),
         recovery_crashed=float(rng.random()) < 0.5,
+        second_crash_point=choice(rng, ["", "metacache.evict"]),
+        second_crash_index=randrange(rng, -1, 1 << 20),
+        recovery_fires=randrange(rng, 1 << 10),
+        resumed_fires=randrange(rng, 1 << 10),
+        divergences=divergences,
         detail=choice(rng, ["", "minimized to access 17"]),
     )
-    assert CaseResult.from_json(through_json(result)) == result
-    assert CampaignCase.from_json(through_json(case)) == case
+    assert ExploreCaseResult.from_json(through_json(result)) == result
 
 
 @pytest.mark.parametrize("rng", rngs())
 def test_cell_spec_round_trips(rng):
-    kind = choice(rng, ["sim", "probe", "fault"])
+    kind = choice(rng, ["sim", "oracle", "explore"])
     spec = CellSpec(
         kind=kind,
         variant=choice(rng, ["wb-gc", "asit", "steins"]),
@@ -123,7 +125,7 @@ def test_cell_spec_round_trips(rng):
         seed=randrange(rng, 1 << 32),
         check=float(rng.random()) < 0.5,
         config=choice(rng, [None, {"clock_ghz": 2.0}]),
-        fault={"crash_after": randrange(rng, 1 << 10)}
-        if kind == "fault" else None,
+        fault={"mode": "case", "crash_after": randrange(rng, 1 << 10)}
+        if kind != "sim" else None,
     )
     assert CellSpec.from_json(through_json(spec)) == spec

@@ -35,14 +35,10 @@ from repro.faults.registry import (
     FaultPlan,
     armed,
 )
-from repro.oracle.harness import TAMPER_KINDS, run_clean_case, \
-    run_tamper_case
+from repro.explore.planner import first_mid_last
+from repro.explore.runner import run_case, run_clean, run_probe
+from repro.oracle.harness import TAMPER_KINDS, run_tamper_case
 from repro.oracle.mutants import MUTANTS
-from repro.oracle.sweep import (
-    crash_plans_from_log,
-    probe_fire_log,
-    run_oracle_cell,
-)
 from repro.schemes import (
     BASE_FAULT_POINTS,
     RECOVERY_STYLES,
@@ -143,7 +139,7 @@ def test_every_scheme_has_mutant_coverage(scheme):
 # ----------------------------------------------------- oracle: clean run
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_clean_case_matches(scheme, cfg, trace):
-    result = run_clean_case(scheme, "pers_hash", trace, cfg)
+    result = run_clean(scheme, cfg, trace)
     assert result.outcome == "match", result.detail
 
 
@@ -153,10 +149,10 @@ def test_targeted_crashes_conform(scheme, cfg, trace):
     """Crash at the first/middle/last occurrence of every injection
     point the scheme fires, plus crash-during-recovery doses: zero
     silent divergences allowed."""
-    log = probe_fire_log(scheme, cfg, trace)
-    assert log, "a write-heavy trace must fire injection points"
-    for plan in crash_plans_from_log(log, recovery_doses=(1, 2)):
-        result = run_oracle_cell(scheme, "pers_hash", plan, cfg, trace)
+    probe = run_probe(scheme, cfg, trace)
+    assert probe.fires, "a write-heavy trace must fire injection points"
+    for plan in first_mid_last(probe):
+        result = run_case(scheme, cfg, trace, plan)
         assert result.outcome in _HONEST, (
             f"{scheme} {plan}: {result.outcome} {result.detail}")
 

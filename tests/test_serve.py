@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+import repro.serve.service as service_module
 from repro.common.config import small_config
 from repro.common.errors import ConfigError
 from repro.exec import CellSpec, MemoryBackend, run_sweep
@@ -40,6 +41,13 @@ def matrix(accesses=300, seed=7):
     return [CellSpec("sim", v, "pers_hash", accesses, 256, seed,
                      config=CFG)
             for v in ("steins-gc", "asit", "wb-gc")]
+
+
+def configless_oracle_cell():
+    """A cell that raises deterministically: oracle cells need a
+    config."""
+    return CellSpec("oracle", "steins", "pers_hash", 60, 256, 7,
+                    fault={"mode": "tamper", "attack": "data-bits"})
 
 
 def fingerprints(report):
@@ -173,8 +181,7 @@ class TestWorkerCrew:
             assert "result" in payload and elapsed > 0
             assert crew.idle_workers() == [0]
             # a deterministic raise comes back as an error result
-            bad = CellSpec("probe", "steins", "pers_hash", 60, 256, 7)
-            crew.dispatch(0, 2, bad.to_json())
+            crew.dispatch(0, 2, configless_oracle_cell().to_json())
             item = None
             deadline = time.monotonic() + 60
             while item is None and time.monotonic() < deadline:
@@ -253,8 +260,7 @@ class TestServiceE2E:
 
     def test_deterministic_cell_error_propagates_not_retries(self, serve):
         handle = serve(workers=1, cache=MemoryBackend())
-        # probe cells without a config raise deterministically
-        bad = CellSpec("probe", "steins", "pers_hash", 60, 256, 7)
+        bad = configless_oracle_cell()
         with pytest.raises(ServiceError, match="cell 1"):
             submit_sweep([matrix(accesses=60)[0], bad],
                          handle.service.socket_path)
@@ -290,6 +296,29 @@ class TestServiceE2E:
         client = ServiceClient(handle.service.socket_path)
         with pytest.raises(ServiceError, match="unknown op"):
             client._roundtrip({"op": "teleport"})
+
+    def test_submit_over_64_kib_matches_serial(self, serve):
+        # ~1.1 KB per cell: 80 cells put the submit frame past asyncio's
+        # default 64 KiB line limit
+        specs = [CellSpec("sim", "wb-gc", "pers_hash", 40, 256, seed,
+                          config=CFG) for seed in range(80)]
+        assert len(encode_frame(submit_frame(
+            [s.to_json() for s in specs], None))) > 64 * 1024
+        serial = run_sweep(specs)
+        handle = serve(workers=2, cache=MemoryBackend())
+        report = run_sweep(specs, service=handle.service.socket_path)
+        assert fingerprints(report) == fingerprints(serial)
+
+    def test_frame_over_the_limit_gets_an_error_frame(self, serve,
+                                                      monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_FRAME_BYTES", 4096)
+        handle = serve(workers=1, cache=MemoryBackend())
+        client = ServiceClient(handle.service.socket_path)
+        specs = [s.to_json() for s in matrix()] * 4
+        assert len(encode_frame(submit_frame(specs, None))) > 4096
+        with pytest.raises(ServiceError, match="frame limit"):
+            client.submit(specs)
+        assert client.ping(), "the service survives an oversize frame"
 
     def test_shutdown_drains_and_removes_the_socket(self, serve):
         handle = serve(workers=1, cache=MemoryBackend())
