@@ -52,7 +52,7 @@ from repro.explore.planner import (
     shutdown_phase2_plans,
     shutdown_plans,
 )
-from repro.explore.runner import ExploreCaseResult
+from repro.explore.runner import ExploreCaseResult, probe_specs
 from repro.oracle.mutants import MUTANTS
 from repro.schemes import resolve_schemes
 
@@ -285,8 +285,8 @@ def run_explore(schemes: list[str] | None = None,
 
     # ---------------------------------------------------- stage A: probe
     variant_keys = [(s, w) for s in schemes for w in workloads]
-    probe_specs = [spec_for(s, w, {"mode": "probe"})
-                   for s, w in variant_keys]
+    shape = (accesses, footprint, seed, cfg_dict)
+    probe_cells = probe_specs(variant_keys, *shape)
     mutant_rows: list[tuple[str, str]] = []
     if with_mutants:
         for name in sorted(MUTANTS):
@@ -294,9 +294,9 @@ def run_explore(schemes: list[str] | None = None,
             if not eligible:
                 continue
             mutant_rows.append((name, eligible[0]))
-            probe_specs.append(spec_for(eligible[0], workloads[0],
-                                        {"mode": "probe", "mutant": name}))
-    probe_report = sweep(probe_specs)
+            probe_cells += probe_specs([(eligible[0], workloads[0])],
+                                       *shape, mutant=name)
+    probe_report = sweep(probe_cells)
     probes = probe_report.values
 
     # -------------------------------- stage B: clean + phase-1 candidates
