@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-fast coverage lint simlint ruff mypy faults-smoke \
 	sweep-smoke trace-smoke oracle-smoke explore-smoke serve-smoke \
-	bench-core conformance all
+	bench-core perfbench-test conformance all
 
 all: lint test
 
@@ -83,6 +83,11 @@ bench-core:
 		--out BENCH_core.json \
 		--trajectory benchmarks/results/BENCH_core_baseline.json \
 		--fail-on-regression 0.20
+
+# the repository benchmark's own tests (perfbench/), at sizes that run
+# in seconds; perfbench puts src/ on the path itself
+perfbench-test:
+	$(PYTHON) -m pytest -q perfbench/tests
 
 # differential conformance suite: every scheme against the reference
 # model — clean runs, a crash at every injection point the scheme

@@ -13,6 +13,7 @@ hot path allocation-free.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -34,6 +35,27 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
+
+
+@dataclass(frozen=True)
+class CacheSnapshot:
+    """A cache's lines and counters, compact and detached from it.
+
+    Only the non-empty sets are kept, so restoring costs O(resident
+    lines), not O(sets).
+    """
+
+    #: index of every non-empty set, and its line count
+    set_index: array
+    set_size: array
+    #: the lines of those sets, set by set, LRU first, and their dirty bits
+    keys: array
+    dirty: array
+    #: (hits, misses, evictions, dirty_evictions)
+    stats: tuple[int, int, int, int]
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 @dataclass(frozen=True)
@@ -141,6 +163,32 @@ class SetAssocCache:
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)
+
+    def snapshot(self) -> CacheSnapshot:
+        """Every resident line in LRU order, plus the counters."""
+        index, size = array("q"), array("q")
+        keys, dirty = array("q"), array("b")
+        for idx, s in enumerate(self._sets):
+            if s:
+                index.append(idx)
+                size.append(len(s))
+                keys.extend(s)
+                dirty.extend(s.values())
+        st = self.stats
+        return CacheSnapshot(index, size, keys, dirty,
+                             (st.hits, st.misses, st.evictions,
+                              st.dirty_evictions))
+
+    def restore(self, snap: CacheSnapshot) -> None:
+        """Load ``snap`` into this cache, which must be empty."""
+        sets, keys, dirty = self._sets, snap.keys, snap.dirty
+        pos = 0
+        for idx, n in zip(snap.set_index, snap.set_size):
+            end = pos + n
+            sets[idx] = dict(zip(keys[pos:end], map(bool, dirty[pos:end])))
+            pos = end
+        st = self.stats
+        st.hits, st.misses, st.evictions, st.dirty_evictions = snap.stats
 
     def clear(self) -> None:
         """Drop all contents (a crash wiping a volatile cache)."""

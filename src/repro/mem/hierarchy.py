@@ -11,6 +11,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.common.config import HierarchyConfig
+from repro.mem.cache import CacheSnapshot, SetAssocCache
 
 
 class MemOp(enum.Enum):
@@ -45,9 +46,6 @@ class CacheHierarchy:
     """L1 -> L2 -> L3 with inclusive fills and dirty writeback chains."""
 
     def __init__(self, cfg: HierarchyConfig) -> None:
-        # Import here to avoid a cycle at package-definition time.
-        from repro.mem.cache import SetAssocCache
-
         self.cfg = cfg
         self.l1 = SetAssocCache(cfg.l1)
         self.l2 = SetAssocCache(cfg.l2)
@@ -74,14 +72,15 @@ class CacheHierarchy:
 
         hit2, ev2 = self.l2.access(line_addr, False)
         if ev2 is not None:
-            if self.l1.invalidate(ev2.key) or ev2.dirty:
-                # Inclusion: an L2 victim must leave L1 too; its dirtiness
-                # (from either level) goes down to L3.
-                dirty = ev2.dirty or self.l1.is_dirty(ev2.key)
-                if dirty or ev2.dirty:
-                    if requests is None:
-                        requests = []
-                    self._writeback(self.l3, ev2.key, requests, None)
+            # Inclusion: an L2 victim must leave L1 too; its L2 dirtiness
+            # goes down to L3.  Known bug, kept because fixing it changes
+            # simulated behaviour: dirtiness held only in L1 is dropped
+            # here (tests/test_hierarchy.py pins both cases as xfails).
+            self.l1.invalidate(ev2.key)
+            if ev2.dirty:
+                if requests is None:
+                    requests = []
+                self._writeback(self.l3, ev2.key, requests, None)
         if hit2:
             if requests is None:
                 return self._hit[1]
@@ -89,6 +88,7 @@ class CacheHierarchy:
 
         hit3, ev3 = self.l3.access(line_addr, False)
         if ev3 is not None:
+            # Same known bug: dirtiness held only in L1/L2 is dropped.
             self.l1.invalidate(ev3.key)
             self.l2.invalidate(ev3.key)
             if ev3.dirty:
@@ -132,6 +132,20 @@ class CacheHierarchy:
         self.l2.mark_clean(line_addr)
         self.l3.mark_clean(line_addr)
         return was_dirty
+
+    # ------------------------------------------------------------ state
+    def is_empty(self) -> bool:
+        return not (len(self.l1) or len(self.l2) or len(self.l3))
+
+    def snapshot(self) -> tuple[CacheSnapshot, ...]:
+        """The L1/L2/L3 contents and counters (see :meth:`restore`)."""
+        return (self.l1.snapshot(), self.l2.snapshot(), self.l3.snapshot())
+
+    def restore(self, snaps: tuple[CacheSnapshot, ...]) -> None:
+        """Load a :meth:`snapshot` into this hierarchy, which must be
+        empty."""
+        for cache, snap in zip((self.l1, self.l2, self.l3), snaps):
+            cache.restore(snap)
 
     # ------------------------------------------------------------ crash
     def flush_dirty(self) -> list[int]:

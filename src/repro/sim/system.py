@@ -29,6 +29,7 @@ from repro.nvm.layout import MemoryLayout, build_layout
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.schemes import controller_types
 from repro.sim.clock import MemClock
+from repro.sim.llc_filter import filter_pristine, filter_trace
 from repro.sim.stats import RunResult
 
 #: {scheme: controller class}, a registry view in registration order;
@@ -152,66 +153,50 @@ class SecureNVMSystem:
         """Drive a whole trace through the system (batched hot path).
 
         Exactly equivalent to per-access ``advance``/``store``/``load``
-        calls, proven by the golden stats suite: cycle costs (compute
-        gaps + cache-hit latencies) accumulate in a plain int and are
-        flushed to the clock only when a controller operation — the only
-        consumer of ``now_ps`` — is about to run.  Integer time makes the
-        deferred sum bit-identical to eager per-access advances; the
-        win is skipping per-access clock/outcome bookkeeping for the
-        (overwhelmingly common) cache-hit accesses in between.
+        calls, proven by the golden stats suite.  The scheme-independent
+        half — hierarchy and value model — runs first and yields the LLC
+        request stream (:mod:`repro.sim.llc_filter`); from a pristine
+        system that stream and the end state come from a per-process
+        memo shared by every variant run on the same trace.  Only the
+        stream then reaches the controller: the clock advances by each
+        request's deferred cycles (integer time makes the deferred sum
+        equal to per-access advances) and every read is checked against
+        the reference model.
+
+        Not a crash-injection surface: if the controller raises, the
+        hierarchy and ``current`` already hold the trace's end state
+        (the crash tools step with ``store``/``load`` instead).
         """
-        is_write_col, address_col, gap_col = trace.columns
+        columns = trace.columns
+        if (self.accesses == 0 and not self.current and not self.persisted
+                and not self._versions and self.hierarchy.is_empty()):
+            stream = filter_pristine(self.hierarchy, columns, flush_writes,
+                                     self.current, self._versions)
+        else:
+            stream = filter_trace(self.hierarchy, columns, flush_writes,
+                                  self.current, self._versions,
+                                  dict(self.persisted))
         clock = self.clock
-        hierarchy = self.hierarchy
-        controller = self.controller
-        current = self.current
+        write_data = self.controller.write_data
+        read_data = self.controller.read_data
         persisted = self.persisted
-        versions = self._versions
         check = self.check
-        pending_cycles = 0
-        n = len(address_col)
-        for i in range(n):
-            addr = address_col[i]
-            is_write = is_write_col[i]
-            pending_cycles += gap_col[i]
+        for cycles, is_write, line, value in zip(
+                stream.cycles, stream.ops, stream.lines, stream.values):
+            if cycles:
+                clock.advance_cycles(cycles)
             if is_write:
-                version = versions.get(addr, 0) + 1
-                versions[addr] = version
-                current[addr] = mix64(addr, version)
-            result = hierarchy.access(addr, is_write)
-            pending_cycles += result.cycles
-            requests = result.requests
-            if requests:
-                clock.advance_cycles(pending_cycles)
-                pending_cycles = 0
-                for request in requests:
-                    line = request.line_addr
-                    if request.op is MemOp.WRITE:
-                        value = current.get(line, 0)
-                        controller.write_data(line, value)
-                        persisted[line] = value
-                    else:
-                        plaintext = controller.read_data(line)
-                        if check:
-                            expected = persisted.get(line, 0)
-                            if plaintext != expected:
-                                raise AssertionError(
-                                    f"scheme {self.scheme!r} returned "
-                                    f"wrong data for block {line}: "
-                                    f"{plaintext} != {expected}")
-                        # a fill makes the persisted value
-                        # architecturally current
-                        current.setdefault(line, persisted.get(line, 0))
-            if is_write and flush_writes and hierarchy.clwb(addr):
-                if pending_cycles:
-                    clock.advance_cycles(pending_cycles)
-                    pending_cycles = 0
-                value = current[addr]
-                controller.write_data(addr, value)
-                persisted[addr] = value
-        if pending_cycles:
-            clock.advance_cycles(pending_cycles)
-        self.accesses += n
+                write_data(line, value)
+                persisted[line] = value
+            else:
+                plaintext = read_data(line)
+                if check and plaintext != value:
+                    raise AssertionError(
+                        f"scheme {self.scheme!r} returned wrong data "
+                        f"for block {line}: {plaintext} != {value}")
+        if stream.tail_cycles:
+            clock.advance_cycles(stream.tail_cycles)
+        self.accesses += stream.accesses
 
     # ----------------------------------------------------------- crash
     def crash(self) -> None:

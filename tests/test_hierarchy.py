@@ -1,4 +1,6 @@
 """Three-level cache hierarchy: inclusion, writebacks, clwb."""
+import pytest
+
 from repro.common.config import CacheConfig, HierarchyConfig
 from repro.mem.hierarchy import CacheHierarchy, MemOp
 
@@ -89,3 +91,40 @@ def test_write_allocates_line():
     assert MemOp.READ in [r.op for r in res.requests]
     res2 = h.access(7, is_write=False)
     assert res2.requests == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known bug: CacheHierarchy.access drops dirtiness held only in L1 "
+    "when L2 evicts the line; fixing it changes simulated behaviour"))
+def test_l2_victim_dirty_only_in_l1_is_written_back():
+    # L1: one fully associative set of 2 lines; L2: 4 direct-mapped
+    # sets, so lines 0 and 4 share an L2 set but both fit in L1
+    h = CacheHierarchy(HierarchyConfig(
+        l1=CacheConfig(2 * 64, 2),
+        l2=CacheConfig(4 * 64, 1),
+        l3=CacheConfig(8 * 64, 2),
+    ))
+    h.access(0, is_write=True)          # dirty in L1, clean in L2
+    writes = []
+    h.access(4, is_write=False)         # L2 evicts 0 while L1 holds it
+    for addr in range(8, 200):          # then push everything out
+        res = h.access(addr, False)
+        writes += [r.line_addr for r in res.requests if r.op is MemOp.WRITE]
+    assert 0 in writes
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known bug: CacheHierarchy.access drops dirtiness held only in L1/L2 "
+    "when L3 evicts the line; fixing it changes simulated behaviour"))
+def test_l3_victim_dirty_only_above_l3_is_written_back():
+    # L1: 1 line; L2: one fully associative set of 4 lines; L3: 8
+    # direct-mapped sets, so lines 0 and 8 share an L3 set
+    h = CacheHierarchy(HierarchyConfig(
+        l1=CacheConfig(64, 1),
+        l2=CacheConfig(4 * 64, 4),
+        l3=CacheConfig(8 * 64, 1),
+    ))
+    h.access(0, is_write=True)          # dirty in L1
+    h.access(1, is_write=False)         # L1 evicts 0: dirty in L2 only
+    res = h.access(8, is_write=False)   # L3 evicts 0 while L2 holds it
+    assert MemOp.WRITE in [r.op for r in res.requests]
